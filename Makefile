@@ -11,14 +11,15 @@ CAARLINT := bin/caarlint
 # tools/cmd/caarlint/main.go (`caarlint -list` prints the same set).
 CAARLINT_ANALYZERS := cowmut readpathlock metricname fsyncrename errstatus lockorder goroutinelife atomicfield batchalias
 
-.PHONY: all check lint vet staticcheck caarlint tools-test build test race race-matrix fuzz-smoke bench bench-smoke bench-contention bench-hot bench-ingest hot-smoke ingest-smoke soak-smoke capture-smoke bench-diff clean
+.PHONY: all check lint vet staticcheck caarlint tools-test canonbench-test build test race race-matrix fuzz-smoke bench bench-smoke bench-contention bench-hot bench-ingest hot-smoke ingest-smoke soak-smoke capture-smoke bench-diff clean
 
 all: check
 
 # check is the full pre-merge gate: static analysis (go vet, staticcheck,
 # the project's own caarlint suite), compilation of every package, the test
-# suite under the race detector, and the hot-key and ingest smoke drills.
-check: lint build race hot-smoke ingest-smoke
+# suite under the race detector, the canonical benchmark module's own tests,
+# and the hot-key and ingest smoke drills.
+check: lint build race canonbench-test hot-smoke ingest-smoke
 
 # lint folds the three static-analysis layers into one gate.
 lint: vet staticcheck caarlint
@@ -57,6 +58,12 @@ caarlint: $(CAARLINT)
 
 $(CAARLINT): $(wildcard tools/caarlint/*/*.go tools/cmd/caarlint/*.go)
 	cd tools && $(GO) build -o ../$(CAARLINT) ./cmd/caarlint
+
+# canonbench-test vets and tests the canonical benchmark (canonbench/ is its
+# own module, replacing caar with this tree, so `go test ./...` here never
+# builds it). -short skips the test that runs the whole stack.
+canonbench-test:
+	cd canonbench && $(GO) vet . && $(GO) test -short .
 
 # tools-test runs the analyzer suite's own golden tests (fixtures under
 # tools/caarlint/testdata/src, driven by the internal atest harness).

@@ -1,8 +1,13 @@
 package caar
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"maps"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,68 +70,128 @@ type adRef struct {
 	campaign string
 }
 
-// directory is the engine's immutable name-resolution snapshot: user
-// handles, ad names and ad campaigns. A directory is never mutated after
-// being published via Engine.dir — writers build a new one under
-// Engine.dirMu and atomically swap it in, so readers work against one
-// consistent view with zero lock acquisitions and writers never block
-// readers.
+// directory is the engine's immutable name-resolution snapshot: a user
+// table and an ad table. A directory is never mutated after being
+// published via Engine.dir — writers build a new one under Engine.dirMu and
+// atomically swap it in, so readers work against one consistent view with
+// zero lock acquisitions and writers never block readers. A new directory
+// shares the table its writer left unchanged: AddUser copies nothing of the
+// ad table, AddAd and RemoveAd nothing of the user table.
 type directory struct {
-	users map[string]feed.UserID
-	names []string // handle by internal user ID
-	adIDs map[string]adstore.AdID
-	ads   map[adstore.AdID]adRef
+	users *userTable
+	ads   *adTable
+}
+
+// userTable resolves user handles to internal IDs and back. Users are
+// append-only and every writer extends the newest table (it holds dirMu and
+// starts from the published directory), which lets a new table share nearly
+// everything with its predecessor:
+//   - names shares its backing array: a new table appends past the
+//     published length, where no older table reads;
+//   - handles is a persistent hash trie: an insert copies one root-to-leaf
+//     path.
+//
+// So one AddUser costs O(log users), not O(users).
+type userTable struct {
+	names   []string // handle by internal user ID
+	handles handleTrie
+}
+
+// adTable maps external ad names to internal IDs and back. Ads come and go
+// and number in the thousands, so a writer copies both maps.
+type adTable struct {
+	ids  map[string]adstore.AdID
+	refs map[adstore.AdID]adRef
 }
 
 func newDirectory() *directory {
 	return &directory{
-		users: make(map[string]feed.UserID),
-		adIDs: make(map[string]adstore.AdID),
-		ads:   make(map[adstore.AdID]adRef),
+		users: &userTable{handles: handleTrie{seed: maphash.MakeSeed()}},
+		ads:   newAdTable(0),
 	}
 }
 
-// clone deep-copies the directory so a writer can mutate its private copy
-// before publishing. Cost is O(users+ads), paid only on control-plane
-// writes (AddUser/AddAd/RemoveAd), never on the serving path.
-func (d *directory) clone() *directory {
-	nd := &directory{
-		users: make(map[string]feed.UserID, len(d.users)+1),
-		names: append(make([]string, 0, len(d.names)+1), d.names...),
-		adIDs: make(map[string]adstore.AdID, len(d.adIDs)+1),
-		ads:   make(map[adstore.AdID]adRef, len(d.ads)+1),
+// newUserTable builds a table holding handles as user IDs 0..n-1 in one
+// pass. It rejects empty and duplicate handles, as AddUser does, and takes
+// ownership of handles.
+func newUserTable(handles []string) (*userTable, error) {
+	t := handleTrie{seed: maphash.MakeSeed()}
+	entries := make([]trieEntry, len(handles))
+	for i, h := range handles {
+		if h == "" {
+			return nil, fmt.Errorf("%w: empty user handle", ErrBadConfig)
+		}
+		entries[i] = trieEntry{hash: maphash.String(t.seed, h), handle: h, id: feed.UserID(i)}
 	}
-	for h, id := range d.users {
-		nd.users[h] = id
+	slices.SortFunc(entries, func(a, b trieEntry) int {
+		return cmp.Or(cmp.Compare(a.hash, b.hash), cmp.Compare(a.handle, b.handle))
+	})
+	for i := 1; i < len(entries); i++ {
+		if entries[i].handle == entries[i-1].handle {
+			return nil, fmt.Errorf("%w: user %q", ErrDuplicate, entries[i].handle)
+		}
 	}
-	for n, id := range d.adIDs {
-		nd.adIDs[n] = id
+	if len(entries) > 0 {
+		t.root = buildTrie(entries, 0)
 	}
-	for id, ref := range d.ads {
-		nd.ads[id] = ref
-	}
-	return nd
+	return &userTable{names: handles, handles: t}, nil
 }
 
-// withAd returns a copy of the directory with one ad mapping added.
+// with returns the table extended by handle as the next user ID. Call it on
+// the newest table only: the new names slice writes into the shared backing
+// array at this table's length, so extending one table twice would let the
+// second extension overwrite the first's entry.
+func (t *userTable) with(handle string) *userTable {
+	return &userTable{
+		names:   append(t.names, handle),
+		handles: t.handles.with(handle, feed.UserID(len(t.names))),
+	}
+}
+
+func newAdTable(size int) *adTable {
+	return &adTable{
+		ids:  make(map[string]adstore.AdID, size),
+		refs: make(map[adstore.AdID]adRef, size),
+	}
+}
+
+// clone copies the ad table so a writer can mutate its private copy before
+// publishing. Cost is O(ads), paid only by AddAd and RemoveAd, never on the
+// serving path.
+func (t *adTable) clone() *adTable {
+	nt := newAdTable(len(t.ids) + 1)
+	maps.Copy(nt.ids, t.ids)
+	maps.Copy(nt.refs, t.refs)
+	return nt
+}
+
+// withUser returns a copy of the directory with one user added as the next
+// user ID. The ad table is shared.
+func (d *directory) withUser(handle string) *directory {
+	return &directory{users: d.users.with(handle), ads: d.ads}
+}
+
+// withAd returns a copy of the directory with one ad mapping added. The
+// user table is shared.
 func (d *directory) withAd(name string, id adstore.AdID, campaign string) *directory {
-	nd := d.clone()
-	nd.adIDs[name] = id
-	nd.ads[id] = adRef{name: name, campaign: campaign}
-	return nd
+	ads := d.ads.clone()
+	ads.ids[name] = id
+	ads.refs[id] = adRef{name: name, campaign: campaign}
+	return &directory{users: d.users, ads: ads}
 }
 
-// withoutAd returns a copy of the directory with one ad mapping removed.
+// withoutAd returns a copy of the directory with one ad mapping removed. The
+// user table is shared.
 func (d *directory) withoutAd(name string, id adstore.AdID) *directory {
-	nd := d.clone()
-	delete(nd.adIDs, name)
-	delete(nd.ads, id)
-	return nd
+	ads := d.ads.clone()
+	delete(ads.ids, name)
+	delete(ads.refs, id)
+	return &directory{users: d.users, ads: ads}
 }
 
 // lookup resolves a user handle in this snapshot.
 func (d *directory) lookup(handle string) (feed.UserID, error) {
-	id, ok := d.users[handle]
+	id, ok := d.users.handles.get(handle)
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownUser, handle)
 	}
@@ -135,8 +200,8 @@ func (d *directory) lookup(handle string) (feed.UserID, error) {
 
 // userName resolves an internal user ID back to its handle.
 func (d *directory) userName(u feed.UserID) string {
-	if int(u) < len(d.names) {
-		return d.names[u]
+	if int(u) < len(d.users.names) {
+		return d.users.names[u]
 	}
 	return fmt.Sprintf("user-%d", u)
 }
@@ -144,11 +209,122 @@ func (d *directory) userName(u feed.UserID) string {
 // campaignOf resolves an external ad ID to its campaign name ("" when
 // campaign-less or withdrawn from this snapshot).
 func (d *directory) campaignOf(adID string) string {
-	id, ok := d.adIDs[adID]
+	id, ok := d.ads.ids[adID]
 	if !ok {
 		return ""
 	}
-	return d.ads[id].campaign
+	return d.ads.refs[id].campaign
+}
+
+// Shape of the handle trie: each level consumes trieBits of the hash, from
+// the top, so a node has at most 64 children; a leaf splits once it would
+// hold more than trieLeafMax entries. Leaves past the last hash bits never
+// split (they hold only full 64-bit collisions).
+const (
+	trieBits    = 6
+	trieLeafMax = 8
+)
+
+// handleTrie is a persistent hash trie from user handle to internal ID. It
+// is never mutated: with returns a new trie sharing every node off the path
+// to the new key. Lookups allocate nothing.
+type handleTrie struct {
+	seed maphash.Seed
+	root *trieNode // nil when empty
+}
+
+// trieNode is a leaf (kids == nil) holding entries sorted by hash, or an
+// internal node whose children sit in slot order, one per set bit of mask.
+type trieNode struct {
+	mask    uint64
+	kids    []*trieNode
+	entries []trieEntry
+}
+
+type trieEntry struct {
+	hash   uint64
+	handle string
+	id     feed.UserID
+}
+
+// trieSlot is the child slot of hash at the given depth.
+func trieSlot(hash uint64, depth uint) uint64 {
+	return hash << (depth * trieBits) >> (64 - trieBits)
+}
+
+// trieFull reports whether depth has consumed every hash bit.
+func trieFull(depth uint) bool { return depth*trieBits >= 64 }
+
+func (t handleTrie) get(handle string) (feed.UserID, bool) {
+	hash := maphash.String(t.seed, handle)
+	n := t.root
+	for depth := uint(0); n != nil; depth++ {
+		if n.kids == nil {
+			for _, e := range n.entries {
+				if e.hash == hash && e.handle == handle {
+					return e.id, true
+				}
+			}
+			return 0, false
+		}
+		bit := uint64(1) << trieSlot(hash, depth)
+		if n.mask&bit == 0 {
+			return 0, false
+		}
+		n = n.kids[bits.OnesCount64(n.mask&(bit-1))]
+	}
+	return 0, false
+}
+
+// with returns the trie with handle added. The handle must be absent.
+func (t handleTrie) with(handle string, id feed.UserID) handleTrie {
+	e := trieEntry{hash: maphash.String(t.seed, handle), handle: handle, id: id}
+	return handleTrie{seed: t.seed, root: t.root.with(e, 0)}
+}
+
+// with returns a copy of the subtree at depth with e inserted, sharing every
+// child it does not descend into.
+func (n *trieNode) with(e trieEntry, depth uint) *trieNode {
+	if n == nil {
+		return &trieNode{entries: []trieEntry{e}}
+	}
+	if n.kids == nil {
+		i, _ := slices.BinarySearchFunc(n.entries, e.hash, func(x trieEntry, h uint64) int { return cmp.Compare(x.hash, h) })
+		entries := make([]trieEntry, 0, len(n.entries)+1)
+		entries = append(append(append(entries, n.entries[:i]...), e), n.entries[i:]...)
+		return buildTrie(entries, depth)
+	}
+	bit := uint64(1) << trieSlot(e.hash, depth)
+	i := bits.OnesCount64(n.mask & (bit - 1))
+	if n.mask&bit != 0 {
+		kids := slices.Clone(n.kids)
+		kids[i] = n.kids[i].with(e, depth+1)
+		return &trieNode{mask: n.mask, kids: kids}
+	}
+	kids := make([]*trieNode, 0, len(n.kids)+1)
+	kids = append(append(append(kids, n.kids[:i]...), &trieNode{entries: []trieEntry{e}}), n.kids[i:]...)
+	return &trieNode{mask: n.mask | bit, kids: kids}
+}
+
+// buildTrie builds the subtree at depth holding entries, which must be
+// sorted by hash and agree on the hash bits above depth. Leaves keep
+// subslices of entries.
+func buildTrie(entries []trieEntry, depth uint) *trieNode {
+	if len(entries) <= trieLeafMax || trieFull(depth) {
+		return &trieNode{entries: entries}
+	}
+	n := &trieNode{}
+	for i := 0; i < len(entries); {
+		slot := trieSlot(entries[i].hash, depth)
+		j := i + 1
+		for j < len(entries) && trieSlot(entries[j].hash, depth) == slot {
+			j++
+		}
+		n.mask |= 1 << slot
+		n.kids = append(n.kids, buildTrie(entries[i:j:j], depth+1))
+		i = j
+	}
+	return n
 }
 
 // shard is one engine instance plus its serializing lock and the trace
@@ -290,16 +466,13 @@ func (e *Engine) AddUser(handle string) error {
 	e.dirMu.Lock()
 	unwatch := faultinject.WatchLock("engine.dirMu")
 	d := e.dir.Load()
-	if _, dup := d.users[handle]; dup {
+	if _, dup := d.users.handles.get(handle); dup {
 		unwatch()
 		e.dirMu.Unlock()
 		return fmt.Errorf("%w: user %q", ErrDuplicate, handle)
 	}
-	id := feed.UserID(len(d.names))
-	nd := d.clone()
-	nd.users[handle] = id
-	nd.names = append(nd.names, handle)
-	e.dir.Store(nd)
+	id := feed.UserID(len(d.users.names))
+	e.dir.Store(d.withUser(handle))
 	unwatch()
 	e.dirMu.Unlock()
 
@@ -423,7 +596,7 @@ func (e *Engine) mapAd(name, campaign string) (adstore.AdID, error) {
 	defer e.dirMu.Unlock()
 	defer faultinject.WatchLock("engine.dirMu")()
 	d := e.dir.Load()
-	if _, dup := d.adIDs[name]; dup {
+	if _, dup := d.ads.ids[name]; dup {
 		return 0, fmt.Errorf("%w: ad %q", ErrDuplicate, name)
 	}
 	id := e.nextAd
@@ -451,13 +624,13 @@ func (e *Engine) RemoveAd(id string) error {
 	e.dirMu.Lock()
 	unwatch := faultinject.WatchLock("engine.dirMu")
 	d := e.dir.Load()
-	internalID, ok := d.adIDs[id]
+	internalID, ok := d.ads.ids[id]
 	if !ok {
 		unwatch()
 		e.dirMu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownAd, id)
 	}
-	campaign := d.ads[internalID].campaign
+	campaign := d.ads.refs[internalID].campaign
 	e.dir.Store(d.withoutAd(id, internalID))
 	unwatch()
 	e.dirMu.Unlock()
@@ -821,7 +994,7 @@ func (e *Engine) recommend(user string, k int, at time.Time, policy ServingPolic
 // the campaign is out of (released) budget.
 func (e *Engine) ServeImpression(adID string, at time.Time) (bool, error) {
 	d := e.dir.Load()
-	internalID, ok := d.adIDs[adID]
+	internalID, ok := d.ads.ids[adID]
 	if !ok {
 		e.obsm.impressions.With("error").Inc()
 		return false, fmt.Errorf("%w: %q", ErrUnknownAd, adID)
@@ -835,7 +1008,7 @@ func (e *Engine) ServeImpression(adID string, at time.Time) (bool, error) {
 		// Spend telemetry per campaign (per ad name for campaign-less
 		// ads): lock-free enqueue against the directory snapshot already
 		// loaded above.
-		ref := d.ads[internalID]
+		ref := d.ads.refs[internalID]
 		name := ref.campaign
 		if name == "" {
 			name = ref.name
@@ -852,7 +1025,7 @@ func (e *Engine) ServeImpression(adID string, at time.Time) (bool, error) {
 func (e *Engine) toRecommendations(d *directory, scored []core.Scored) []Recommendation {
 	out := make([]Recommendation, 0, len(scored))
 	for _, s := range scored {
-		ref, ok := d.ads[s.Ad]
+		ref, ok := d.ads.refs[s.Ad]
 		if !ok {
 			continue // withdrawn concurrently
 		}
@@ -876,7 +1049,7 @@ func (e *Engine) Stats() Stats {
 		CheckIns:       e.checkIns.Load(),
 		Shards:         len(e.shards),
 	}
-	st.Users = len(e.dir.Load().users)
+	st.Users = len(e.dir.Load().users.names)
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 		if c, ok := sh.eng.(*core.CAP); ok {

@@ -525,7 +525,7 @@ func TestRemoveAdRollbackOnStoreError(t *testing.T) {
 	if err := e.AddAd(Ad{ID: "x", Text: "sneaker sale", Bid: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	internalID, ok := e.dir.Load().adIDs["x"]
+	internalID, ok := e.dir.Load().ads.ids["x"]
 	if !ok {
 		t.Fatal("ad not mapped")
 	}
@@ -537,10 +537,10 @@ func TestRemoveAdRollbackOnStoreError(t *testing.T) {
 	if err := e.RemoveAd("x"); err == nil {
 		t.Fatal("RemoveAd should surface the store error")
 	}
-	if _, ok := e.dir.Load().adIDs["x"]; !ok {
+	if _, ok := e.dir.Load().ads.ids["x"]; !ok {
 		t.Fatal("mapping not rolled back after store error")
 	}
-	if e.dir.Load().ads[internalID].name != "x" {
+	if e.dir.Load().ads.refs[internalID].name != "x" {
 		t.Fatal("reverse mapping not rolled back after store error")
 	}
 }

@@ -80,8 +80,8 @@ func (e *Engine) Invariants() InvariantReport {
 	}
 
 	d := e.dir.Load()
-	rep.Ads = make([]string, 0, len(d.adIDs))
-	for name := range d.adIDs {
+	rep.Ads = make([]string, 0, len(d.ads.ids))
+	for name := range d.ads.ids {
 		rep.Ads = append(rep.Ads, name)
 	}
 	sort.Strings(rep.Ads)

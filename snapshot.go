@@ -99,9 +99,9 @@ func (e *Engine) Snapshot(w io.Writer) error {
 
 	sf := snapshotFile{Version: snapshotVersion, Algorithm: e.Algorithm()}
 	sf.Vocab.Terms, sf.Vocab.DF, sf.Vocab.Docs = e.pipeline.Vocab.Snapshot()
-	sf.Users = append([]string(nil), d.names...)
+	sf.Users = append([]string(nil), d.users.names...)
 
-	for id := range d.names {
+	for id := range d.users.names {
 		poster := feed.UserID(id)
 		for _, follower := range e.graph.Followers(poster) {
 			sf.Edges = append(sf.Edges, [2]uint32{uint32(follower), uint32(poster)})
@@ -116,7 +116,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 
 	var adErr error
 	e.store.ForEach(func(a *adstore.Ad) {
-		ref, ok := d.ads[a.ID]
+		ref, ok := d.ads.refs[a.ID]
 		if !ok {
 			return
 		}
@@ -321,19 +321,6 @@ func Restore(cfg Config, r io.Reader) (*Engine, error) {
 	if err := e.pipeline.Vocab.Restore(sf.Vocab.Terms, sf.Vocab.DF, sf.Vocab.Docs); err != nil {
 		return nil, err
 	}
-	for _, handle := range sf.Users {
-		if err := e.AddUser(handle); err != nil {
-			return nil, fmt.Errorf("caar: snapshot user %q: %w", handle, err)
-		}
-	}
-	for _, edge := range sf.Edges {
-		if int(edge[0]) >= len(sf.Users) || int(edge[1]) >= len(sf.Users) {
-			return nil, fmt.Errorf("caar: snapshot edge %v references unknown user", edge)
-		}
-		if err := e.graph.Follow(feed.UserID(edge[0]), feed.UserID(edge[1])); err != nil {
-			return nil, fmt.Errorf("caar: snapshot edge %v: %w", edge, err)
-		}
-	}
 	for _, sc := range sf.Campaigns {
 		c, err := adstore.NewCampaign(sc.Name, sc.Budget, sc.Start, sc.End)
 		if err != nil {
@@ -346,18 +333,70 @@ func Restore(cfg Config, r io.Reader) (*Engine, error) {
 			return nil, err
 		}
 	}
-	for _, sa := range sf.Ads {
-		if err := e.restoreAd(sa); err != nil {
-			return nil, fmt.Errorf("caar: snapshot ad %q: %w", sa.ID, err)
+	if err := e.restoreDirectory(sf.Users, sf.Ads); err != nil {
+		return nil, err
+	}
+	for _, edge := range sf.Edges {
+		if int(edge[0]) >= len(sf.Users) || int(edge[1]) >= len(sf.Users) {
+			return nil, fmt.Errorf("caar: snapshot edge %v references unknown user", edge)
+		}
+		if err := e.graph.Follow(feed.UserID(edge[0]), feed.UserID(edge[1])); err != nil {
+			return nil, fmt.Errorf("caar: snapshot edge %v: %w", edge, err)
 		}
 	}
 	return e, nil
 }
 
-// restoreAd re-registers one ad from its snapshot record, bypassing the text
-// pipeline: the exact keyword vector is re-interned term by term.
-func (e *Engine) restoreAd(sa snapshotAd) error {
+// restoreDirectory registers the snapshot's ads and users and publishes
+// their directory with one swap. Building it privately keeps the restore
+// linear in users + ads; publishing per entity would copy the ad table once
+// per ad and a trie path once per user.
+//
+// Ads are registered in the shards before any user exists. CAP's
+// RegisterAd backfills the new ad against every user's feed window, but
+// windows are not persisted, so that walk would find only empty windows.
+func (e *Engine) restoreDirectory(users []string, ads []snapshotAd) error {
+	e.dirMu.Lock()
+	defer e.dirMu.Unlock()
+	defer faultinject.WatchLock("engine.dirMu")()
+
+	at := newAdTable(len(ads))
+	for _, sa := range ads {
+		if _, dup := at.ids[sa.ID]; dup {
+			return fmt.Errorf("caar: snapshot ad %q: duplicate in snapshot: %w: ad %q", sa.ID, ErrDuplicate, sa.ID)
+		}
+		id, err := e.restoreAdLocked(sa)
+		if err != nil {
+			return fmt.Errorf("caar: snapshot ad %q: %w", sa.ID, err)
+		}
+		at.ids[sa.ID] = id
+		at.refs[id] = adRef{name: sa.ID, campaign: sa.Campaign}
+	}
+
+	ut, err := newUserTable(users)
+	if err != nil {
+		return fmt.Errorf("caar: snapshot users: %w", err)
+	}
+	for id := range users {
+		e.graph.AddUser(feed.UserID(id))
+	}
+	for si, sh := range e.shards {
+		sh.mu.Lock()
+		for id := si; id < len(users); id += len(e.shards) {
+			sh.eng.AddUser(feed.UserID(id))
+		}
+		sh.mu.Unlock()
+	}
+	e.dir.Store(&directory{users: ut, ads: at})
+	return nil
+}
+
+// restoreAdLocked registers one ad from its snapshot record under the next
+// internal ID and returns that ID, bypassing the text pipeline: the exact
+// keyword vector is re-interned term by term. The caller holds dirMu.
+func (e *Engine) restoreAdLocked(sa snapshotAd) (adstore.AdID, error) {
 	internal := &adstore.Ad{
+		ID:       e.nextAd,
 		Campaign: sa.Campaign,
 		Bid:      sa.Bid,
 		Global:   sa.Global,
@@ -375,33 +414,22 @@ func (e *Engine) restoreAd(sa snapshotAd) error {
 	for _, name := range sa.Slots {
 		sl, ok := Slot(name).internal()
 		if !ok {
-			return fmt.Errorf("unknown slot %q", name)
+			return 0, fmt.Errorf("unknown slot %q", name)
 		}
 		internal.Slots |= timeslot.NewSet(sl)
 	}
 	if len(sa.Slots) == 0 {
 		internal.Slots = timeslot.AllSlots
 	}
-
-	// The same publish-then-populate path as AddAd: one directory swap per
-	// ad keeps every intermediate view a restore could serve consistent.
-	var err error
-	if internal.ID, err = e.mapAd(sa.ID, sa.Campaign); err != nil {
-		return fmt.Errorf("duplicate in snapshot: %w", err)
-	}
-
-	if err := internal.Validate(); err != nil {
-		e.unmapAd(sa.ID, internal.ID)
-		return err
-	}
+	// store.Add validates the ad and checks its campaign.
 	if err := e.store.Add(internal); err != nil {
-		e.unmapAd(sa.ID, internal.ID)
-		return err
+		return 0, err
 	}
+	e.nextAd++
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 		sh.eng.RegisterAd(internal)
 		sh.mu.Unlock()
 	}
-	return nil
+	return internal.ID, nil
 }

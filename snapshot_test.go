@@ -2,9 +2,17 @@ package caar
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"maps"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"caar/internal/adstore"
 )
 
 // buildSnapshotFixture loads an engine with every kind of durable state.
@@ -178,6 +186,25 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	if _, err := Restore(testConfig(), strings.NewReader(bad)); err == nil {
 		t.Error("overspent campaign accepted")
 	}
+
+	// The checks AddUser and AddAd make one call at a time hold for a
+	// snapshot restored in bulk too.
+	for _, tc := range []struct {
+		name string
+		snap string
+		want error
+	}{
+		{"duplicate user handle", `{"version":1,"vocab":{"terms":[],"df":[],"docs":0},"users":["a","b","a"],"edges":[]}`, ErrDuplicate},
+		{"empty user handle", `{"version":1,"vocab":{"terms":[],"df":[],"docs":0},"users":["a",""],"edges":[]}`, ErrBadConfig},
+		{"duplicate ad ID", `{"version":1,"vocab":{"terms":["x"],"df":[1],"docs":1},"users":[],"edges":[],
+		        "ads":[{"id":"a","bid":0.5,"global":true,"terms":{"x":1}},{"id":"a","bid":0.2,"global":true,"terms":{"x":1}}]}`, ErrDuplicate},
+		{"ad in unknown campaign", `{"version":1,"vocab":{"terms":["x"],"df":[1],"docs":1},"users":[],"edges":[],
+		        "ads":[{"id":"a","campaign":"ghost","bid":0.5,"global":true,"terms":{"x":1}}]}`, adstore.ErrUnknownCampaign},
+	} {
+		if _, err := Restore(testConfig(), strings.NewReader(tc.snap)); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
 }
 
 func TestSnapshotShardedEngine(t *testing.T) {
@@ -201,5 +228,177 @@ func TestSnapshotShardedEngine(t *testing.T) {
 	}
 	if st := restored.Stats(); st.Users != 20 || st.Ads != 1 || st.Shards != 1 {
 		t.Fatalf("restored = %+v", st)
+	}
+}
+
+// syntheticSnapshot encodes a snapshot with the given number of users and
+// ads: each user but the first follows the user at half its ID, every
+// other ad belongs to a campaign, and each ad has three of 64 terms.
+func syntheticSnapshot(t testing.TB, users, ads int) []byte {
+	t.Helper()
+	sf := snapshotFile{Version: snapshotVersion, Algorithm: AlgorithmCAP}
+	for i := 0; i < 64; i++ {
+		sf.Vocab.Terms = append(sf.Vocab.Terms, fmt.Sprintf("term%02d", i))
+		sf.Vocab.DF = append(sf.Vocab.DF, 1+i%5)
+	}
+	sf.Vocab.Docs = 10
+	for i := 0; i < users; i++ {
+		sf.Users = append(sf.Users, fmt.Sprintf("user%07d", i))
+		if i > 0 {
+			sf.Edges = append(sf.Edges, [2]uint32{uint32(i), uint32(i / 2)})
+		}
+	}
+	sf.Campaigns = []snapshotCampaign{{Name: "spring", Budget: 1e6, Start: morning.Add(-time.Hour), End: morning.Add(24 * time.Hour)}}
+	for i := 0; i < ads; i++ {
+		sa := snapshotAd{
+			ID:     fmt.Sprintf("ad%07d", i),
+			Bid:    0.1 + float64(i%9)/10,
+			Global: true,
+			Terms: map[string]float64{
+				sf.Vocab.Terms[i%64]:      0.6,
+				sf.Vocab.Terms[(i*7)%64]:  0.5,
+				sf.Vocab.Terms[(i*13)%64]: 0.4,
+			},
+		}
+		if i%2 == 0 {
+			sa.Campaign = "spring"
+		}
+		sf.Ads = append(sf.Ads, sa)
+	}
+	raw, err := json.Marshal(sf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestRestoreAllocsLinear restores snapshots of N and 4N users and ads and
+// requires the bytes allocated to grow at most 6x. Re-adding entities one
+// call at a time copies the whole directory per entity, which is quadratic
+// (about 16x at these sizes).
+func TestRestoreAllocsLinear(t *testing.T) {
+	const n = 1000
+	alloc := func(size int) uint64 {
+		raw := syntheticSnapshot(t, size, size)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Restore(testConfig(), bytes.NewReader(raw)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := alloc(n), alloc(4*n)
+	ratio := float64(large) / float64(small)
+	t.Logf("restore allocated %d B at %d entities, %d B at %d (%.1fx)", small, n, large, 4*n, ratio)
+	if ratio > 6 {
+		t.Fatalf("restore allocation grew %.1fx for 4x the entities, want at most 6x", ratio)
+	}
+}
+
+// TestRestoreMatchesOneCallPath checks that a restored engine resolves
+// names exactly as the engine it was snapshotted from, which was built one
+// AddUser and AddAd at a time, and then serves the same recommendations
+// after the same traffic.
+func TestRestoreMatchesOneCallPath(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Shards = shards
+			orig := openEngine(t, cfg)
+			var users []string
+			for i := 0; i < 40; i++ {
+				users = append(users, fmt.Sprintf("user%02d", (i*17)%40))
+				if err := orig.AddUser(users[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 1; i < len(users); i++ {
+				if err := orig.Follow(users[i], users[i/3]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := orig.AddCampaign("spring", 100, morning.Add(-time.Hour), morning.Add(23*time.Hour)); err != nil {
+				t.Fatal(err)
+			}
+			words := []string{"marathon", "espresso", "vpn", "sneakers", "pastries", "guitar", "concert", "laptop"}
+			for i := 0; i < 30; i++ {
+				ad := Ad{
+					ID:   fmt.Sprintf("ad%02d", (i*7)%30),
+					Text: words[i%8] + " " + words[(i*3)%8] + " deal",
+					Bid:  0.1 + float64(i%7)/10,
+				}
+				if i%3 == 0 {
+					ad.Campaign = "spring"
+				}
+				if i%4 == 0 {
+					ad.Target = &Target{Lat: 1.5, Lng: 1.5, RadiusKm: 50}
+				}
+				if err := orig.AddAd(ad); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var buf bytes.Buffer
+			if err := orig.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := Restore(cfg, &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			want, got := orig.dir.Load(), restored.dir.Load()
+			if !slices.Equal(got.users.names, want.users.names) {
+				t.Fatalf("names = %v, want %v", got.users.names, want.users.names)
+			}
+			for _, h := range users {
+				w, _ := want.lookup(h)
+				if g, err := got.lookup(h); err != nil || g != w {
+					t.Fatalf("lookup(%q) = %d, %v; want %d", h, g, err, w)
+				}
+			}
+			if !maps.Equal(got.ads.ids, want.ads.ids) {
+				t.Fatalf("ad IDs = %v, want %v", got.ads.ids, want.ads.ids)
+			}
+			if !maps.Equal(got.ads.refs, want.ads.refs) {
+				t.Fatalf("ad refs = %v, want %v", got.ads.refs, want.ads.refs)
+			}
+
+			now := morning.Add(time.Minute)
+			for _, e := range []*Engine{orig, restored} {
+				for i, u := range users {
+					if i%5 == 0 {
+						if err := e.CheckIn(u, 1.5, 1.5, now); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for i := 0; i < 20; i++ {
+					text := words[i%8] + " " + words[(i*5)%8] + " today"
+					if err := e.Post(users[i%7], text, now.Add(time.Duration(i)*time.Second)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			at := now.Add(time.Minute)
+			served := 0
+			for _, u := range users {
+				w, err := orig.Recommend(u, 5, at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := restored.Recommend(u, 5, at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(g, w) {
+					t.Fatalf("Recommend(%q) = %+v, want %+v", u, g, w)
+				}
+				served += len(g)
+			}
+			if served == 0 {
+				t.Fatal("no recommendations served; the comparison is vacuous")
+			}
+		})
 	}
 }

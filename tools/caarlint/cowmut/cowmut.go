@@ -13,6 +13,12 @@
 // Values that pass through a function call (for example d.clone()) are
 // deliberately NOT tracked: returning a private deep copy is exactly the
 // blessed clone-mutate-publish path.
+//
+// A snapshot split into sub-tables lets a writer copy only the table it
+// changes and share the others with the published snapshot
+// (nd := &dir{users: d.users, ads: clone(d.ads)}). Such a field keeps the
+// taint of the value stored in it: nd.ads is private, nd.users.m[k] = v is
+// reported.
 package cowmut
 
 import (
@@ -35,7 +41,8 @@ Snapshots published via atomic.Pointer are immutable by contract: after
 p.Load(), the snapshot may be read but never written. Writers must clone the
 snapshot, mutate the private copy, and Store the result. Any assignment, map
 write, delete, clear, or increment whose target is reachable from a Load
-result is reported.`
+result is reported, including through a field of a new snapshot that shares
+a sub-table with the loaded one.`
 
 const name = "cowmut"
 
@@ -69,6 +76,10 @@ func run(pass *analysis.Pass) (any, error) {
 // mutating a captured snapshot is caught too.
 func checkFunc(pass *analysis.Pass, sup *directive.Suppressor, body *ast.BlockStmt) {
 	tainted := make(map[types.Object]bool)
+	// shared records, per untainted struct variable, the fields that hold a
+	// value reached from a Load — a sub-table a new snapshot shares with the
+	// published one.
+	shared := make(map[types.Object]map[string]bool)
 
 	// isLoad reports whether e is a call to (*sync/atomic.Pointer[T]).Load.
 	isLoad := func(e ast.Expr) bool {
@@ -104,8 +115,12 @@ func checkFunc(pass *analysis.Pass, sup *directive.Suppressor, body *ast.BlockSt
 		case *ast.Ident:
 			return tainted[pass.TypesInfo.ObjectOf(e)]
 		case *ast.SelectorExpr:
-			// A selection through a tainted base stays tainted; a qualified
-			// package identifier never is.
+			// A selection through a tainted base stays tainted, and so does
+			// a shared field of an untainted one; a qualified package
+			// identifier never is.
+			if id, ok := e.X.(*ast.Ident); ok && shared[pass.TypesInfo.ObjectOf(id)][e.Sel.Name] {
+				return true
+			}
 			return taintedExpr(e.X)
 		case *ast.IndexExpr:
 			return taintedExpr(e.X)
@@ -123,6 +138,45 @@ func checkFunc(pass *analysis.Pass, sup *directive.Suppressor, body *ast.BlockSt
 		return false
 	}
 
+	// share marks field of obj as holding a loaded value and reports
+	// whether that is news.
+	share := func(obj types.Object, field string) bool {
+		if obj == nil || tainted[obj] || shared[obj][field] {
+			return false
+		}
+		if shared[obj] == nil {
+			shared[obj] = make(map[string]bool)
+		}
+		shared[obj][field] = true
+		return true
+	}
+	// shareLit marks the fields of obj that a struct literal (or its
+	// address) initializes from a loaded value, and reports whether any was
+	// news.
+	shareLit := func(obj types.Object, e ast.Expr) bool {
+		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+			e = u.X
+		}
+		lit, ok := e.(*ast.CompositeLit)
+		if !ok {
+			return false
+		}
+		if _, ok := pass.TypesInfo.TypeOf(lit).Underlying().(*types.Struct); !ok {
+			return false
+		}
+		changed := false
+		for _, elt := range lit.Elts {
+			kv, ok := elt.(*ast.KeyValueExpr)
+			if !ok {
+				continue
+			}
+			if key, ok := kv.Key.(*ast.Ident); ok && taintedExpr(kv.Value) && share(obj, key.Name) {
+				changed = true
+			}
+		}
+		return changed
+	}
+
 	// Pass 1: propagate taint through assignments to a fixed point, so
 	// `d := p.Load(); ads := d.ads` taints both d and ads regardless of
 	// statement order encountered during the walk.
@@ -133,6 +187,13 @@ func checkFunc(pass *analysis.Pass, sup *directive.Suppressor, body *ast.BlockSt
 			case *ast.AssignStmt:
 				if len(n.Lhs) == len(n.Rhs) {
 					for i, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							// nd.users = d.users shares a sub-table.
+							if id, ok := sel.X.(*ast.Ident); ok && taintedExpr(n.Rhs[i]) && share(pass.TypesInfo.ObjectOf(id), sel.Sel.Name) {
+								changed = true
+							}
+							continue
+						}
 						id, ok := lhs.(*ast.Ident)
 						if !ok || id.Name == "_" {
 							continue
@@ -140,6 +201,9 @@ func checkFunc(pass *analysis.Pass, sup *directive.Suppressor, body *ast.BlockSt
 						obj := pass.TypesInfo.ObjectOf(id)
 						if obj != nil && !tainted[obj] && taintedExpr(n.Rhs[i]) {
 							tainted[obj] = true
+							changed = true
+						}
+						if shareLit(obj, n.Rhs[i]) {
 							changed = true
 						}
 					}
@@ -150,6 +214,9 @@ func checkFunc(pass *analysis.Pass, sup *directive.Suppressor, body *ast.BlockSt
 						obj := pass.TypesInfo.ObjectOf(id)
 						if obj != nil && !tainted[obj] && taintedExpr(n.Values[i]) {
 							tainted[obj] = true
+							changed = true
+						}
+						if shareLit(obj, n.Values[i]) {
 							changed = true
 						}
 					}
